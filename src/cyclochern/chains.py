@@ -235,9 +235,9 @@ def cyclic_T(x):
     if isinstance(x, Cochain):
         return co_T(x)
     m = x.degree
-    sign = ONE if m % 2 == 0 else -ONE
-    return Chain(x.algebra, m,
-                 {(t[m],) + t[:m]: sign * c for t, c in x.terms.items()})
+    if m % 2:
+        return Chain(x.algebra, m, {(t[m],) + t[:m]: -c for t, c in x.terms.items()})
+    return Chain(x.algebra, m, {(t[m],) + t[:m]: c for t, c in x.terms.items()})
 
 
 def op_A(x):
@@ -349,11 +349,25 @@ def _phi_on_slots(phi: Cochain, slots) -> Scalar:
     return acc
 
 
-def co_b(phi: Cochain) -> Cochain:
+def _tabulate(A: FiniteAlgebra, degree: int, value_at, tuples) -> Cochain:
+    """The degree-`degree` cochain with value `value_at(t)` at each t in
+    `tuples`, or at every basis tuple when `tuples` is None."""
+    if tuples is None:
+        tuples = all_tuples(A.dim, degree + 1)
+    out: dict = {}
+    for t in tuples:
+        v = value_at(t)
+        if v:
+            out[t] = v
+    return Cochain(A, degree, out)
+
+
+def co_b(phi: Cochain, tuples=None) -> Cochain:
+    """b phi, evaluated on `tuples` ((m+2)-tuples; all of them if None)."""
     A = phi.algebra
     m = phi.degree
-    out: dict = {}
-    for t in all_tuples(A.dim, m + 2):
+
+    def at(t):
         acc = Scalar(0)
         for j in range(m + 1):
             sgn = 1 if j % 2 == 0 else -1
@@ -366,17 +380,17 @@ def co_b(phi: Cochain) -> Cochain:
             v = phi.values.get((k,) + t[1:m + 1])
             if v:
                 acc = acc + (s * v if sgn_last > 0 else -(s * v))
-        if acc:
-            out[t] = acc
-    return Cochain(A, m + 1, out)
+        return acc
+
+    return _tabulate(A, m + 1, at, tuples)
 
 
 def co_T(phi: Cochain) -> Cochain:
     m = phi.degree
-    sign = ONE if m % 2 == 0 else -ONE
     # T phi (a^0..a^m) = (-1)^m phi(a^m, a^0, .., a^{m-1})
-    return Cochain(phi.algebra, m,
-                   {t[1:] + (t[0],): sign * v for t, v in phi.values.items()})
+    if m % 2:
+        return Cochain(phi.algebra, m, {t[1:] + (t[0],): -v for t, v in phi.values.items()})
+    return Cochain(phi.algebra, m, {t[1:] + (t[0],): v for t, v in phi.values.items()})
 
 
 def co_A(phi: Cochain) -> Cochain:
@@ -388,28 +402,29 @@ def co_A(phi: Cochain) -> Cochain:
     return acc
 
 
-def co_B0(phi: Cochain) -> Cochain:
+def co_B0(phi: Cochain, tuples=None) -> Cochain:
+    """B0 phi, evaluated on `tuples` (m-tuples; all of them if None)."""
     A = phi.algebra
-    m = phi.degree
-    out: dict = {}
     unit_slot = tuple(A.unit.items())
-    for t in all_tuples(A.dim, m):
+
+    def at(t):
         acc = Scalar(0)
         for u, uc in unit_slot:
             v = phi.values.get((u,) + t)
             if v:
                 acc = acc + uc * v
-        if acc:
-            out[t] = acc
-    return Cochain(A, m - 1, out)
+        return acc
+
+    return _tabulate(A, phi.degree - 1, at, tuples)
 
 
-def co_S(phi: Cochain) -> Cochain:
+def co_S(phi: Cochain, tuples=None) -> Cochain:
+    """S phi, evaluated on `tuples` ((m+3)-tuples; all of them if None)."""
     A = phi.algebra
     m = phi.degree
-    out: dict = {}
     coeff = Scalar(Fraction(1, (m + 1) * (m + 2)))
-    for t in all_tuples(A.dim, m + 3):
+
+    def at(t):
         acc = Scalar(0)
         for j in range(1, m + 2):
             for l in range(0, j):
@@ -420,9 +435,9 @@ def co_S(phi: Cochain) -> Cochain:
                         if v:
                             w = s1 * s2 * v
                             acc = acc + (w if sl > 0 else -w)
-        if acc:
-            out[t] = coeff * acc
-    return Cochain(A, m + 2, out)
+        return coeff * acc if acc else acc
+
+    return _tabulate(A, m + 2, at, tuples)
 
 
 def cochain_is_normalized(phi: Cochain) -> bool:

@@ -319,6 +319,9 @@ def main(argv=None) -> int:
     if args.tol <= 0:
         print("--tol must be positive", file=sys.stderr)
         return USAGE_EXIT
+    if args.q_max < 0:
+        print("--q-max must be non-negative", file=sys.stderr)
+        return USAGE_EXIT
     return args.fn(args)
 
 

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclochern.chains import (
     BlockMismatchError,
@@ -12,6 +14,7 @@ from cyclochern.chains import (
     chern_character,
     chi_phi,
     chi_tilde,
+    co_B0,
     co_S,
     co_b,
     co_T,
@@ -38,13 +41,18 @@ from cyclochern.chains import (
     twisted_b,
 )
 from cyclochern.scalars import ONE, Scalar
-from cyclochern.suite import s3_scenario, z2_swap_scenario
+from cyclochern.suite import s3_scenario, z2_swap_scenario, z3_rotation_scenario
 from cyclochern.verify import _is_cyclic_coboundary
 
 
 @pytest.fixture(scope="module")
 def swap():
     return z2_swap_scenario()
+
+
+@pytest.fixture(scope="module")
+def z3rot():
+    return z3_rotation_scenario()
 
 
 @pytest.fixture(scope="module")
@@ -111,13 +119,29 @@ def test_S_prefactor_and_zero(swap):
         periodicity_S(basis_chain(swap, 0, 1))
 
 
-def test_S_transposes(swap):
-    rng = random.Random(11)
-    phi_vals = {t: Scalar(rng.randint(-2, 2)) for t in
-                [(0, 1), (2, 3), (1, 1)]}
-    phi = Cochain(swap, 1, phi_vals)
-    eta = random_sparse_chain(swap, 3, rng, 4)
-    assert pair(co_S(phi), eta) == pair(phi, periodicity_S(eta))
+def _draw_terms(data, dim: int, length: int, max_size: int) -> dict:
+    tuples = st.tuples(*[st.integers(0, dim - 1)] * length)
+    scalars = st.builds(Scalar, st.integers(-2, 2), st.integers(-1, 1))
+    return data.draw(st.dictionaries(tuples, scalars, max_size=max_size))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_S_transposes(swap, z3rot, data):
+    """co_b, co_B0 and co_S evaluated on a chain's support equal their full
+    tables there, and pair with the chain as b, B0 and S do."""
+    cpa = data.draw(st.sampled_from([swap, z3rot]))
+    m = data.draw(st.integers(0, 2 if cpa.dim <= 4 else 1))
+    phi = Cochain(cpa, m, _draw_terms(data, cpa.dim, m + 1, 12))
+    ops = [(co_b, hochschild_b, m + 1), (co_S, periodicity_S, m + 2)]
+    if m >= 1:
+        ops.append((co_B0, op_B0, m - 1))
+    for co_op, op, degree in ops:
+        eta = Chain(cpa, degree, _draw_terms(data, cpa.dim, degree + 1, 4))
+        full = co_op(phi)
+        on_support = co_op(phi, eta.terms)
+        assert on_support.values == {t: v for t, v in full.values.items() if t in eta.terms}
+        assert pair(on_support, eta) == pair(full, eta) == pair(phi, op(eta))
 
 
 def test_theta_formula(swap):

@@ -102,3 +102,11 @@ def test_bad_flags(capsys):
                 "--threads", "0"]) == 2
     assert run(["verify", "--suite", "cyclic", "--scenario", "x.json",
                 "--tol", "-1"]) == 2
+
+
+def test_hp_negative_q_max_is_usage(capsys):
+    assert run(["hp", "--scenario", f"{SCEN}/z2trivial.json", "--q-max", "-1"]) == 2
+
+
+def test_index_negative_q_max_is_usage(capsys):
+    assert run(["index", "--triple", f"{TRIP}/asym.json", "--q-max", "-3"]) == 2
