@@ -22,7 +22,7 @@ from .algebra import (
     ValidationError,
 )
 from .groups import StructureError
-from .scalars import ONE, Scalar
+from .scalars import ONE, Scalar, ZERO
 
 
 class DomainDegreeError(ValueError):
@@ -175,7 +175,7 @@ class PeriodicCochain:
 def pair(cochain: Cochain, chain: Chain) -> Scalar:
     if cochain.degree != chain.degree:
         raise DomainDegreeError("pairing needs matching degrees")
-    acc = Scalar(0)
+    acc = ZERO
     for t, c in chain.terms.items():
         v = cochain.values.get(t)
         if v:
@@ -187,7 +187,7 @@ def pairing(phi: PeriodicCochain, eta: PeriodicChain) -> Scalar:
     """<phi, eta> = sum_q <phi_{2q+i}, eta_{2q+i}>; parities must match."""
     if phi.parity != eta.parity:
         raise DomainDegreeError("parity mismatch in periodic pairing")
-    acc = Scalar(0)
+    acc = ZERO
     for q in range(min(phi.q_max, eta.q_max) + 1):
         acc = acc + pair(phi.components[q], eta.components[q])
     return acc
@@ -273,17 +273,6 @@ def connes_B(x):
     return y - cyclic_T(y)
 
 
-def cyclic_ops(kind: str, x):
-    """Dispatch for the elementary cyclic operators T, A, B0."""
-    if kind == "T":
-        return cyclic_T(x)
-    if kind == "A":
-        return op_A(x)
-    if kind == "B0":
-        return op_B0(x)
-    raise ValueError(f"unknown cyclic operator {kind!r}")
-
-
 def _contract(A: FiniteAlgebra, t: tuple, j: int):
     """Multiply slots j, j+1; yields (tuple, coeff)."""
     for k, s in A.mul_table[t[j]][t[j + 1]]:
@@ -336,7 +325,7 @@ def cyclic_projection(x: Chain) -> Chain:
 
 def _phi_on_slots(phi: Cochain, slots) -> Scalar:
     """Evaluate phi on a tensor whose slots are sparse (idx, coeff) lists."""
-    acc = Scalar(0)
+    acc = ZERO
     for combo in product(*slots):
         idxs = tuple(k for k, _ in combo)
         v = phi.values.get(idxs)
@@ -368,7 +357,7 @@ def co_b(phi: Cochain, tuples=None) -> Cochain:
     m = phi.degree
 
     def at(t):
-        acc = Scalar(0)
+        acc = ZERO
         for j in range(m + 1):
             sgn = 1 if j % 2 == 0 else -1
             for k, s in A.mul_table[t[j]][t[j + 1]]:
@@ -408,7 +397,7 @@ def co_B0(phi: Cochain, tuples=None) -> Cochain:
     unit_slot = tuple(A.unit.items())
 
     def at(t):
-        acc = Scalar(0)
+        acc = ZERO
         for u, uc in unit_slot:
             v = phi.values.get((u,) + t)
             if v:
@@ -425,7 +414,7 @@ def co_S(phi: Cochain, tuples=None) -> Cochain:
     coeff = Scalar(Fraction(1, (m + 1) * (m + 2)))
 
     def at(t):
-        acc = Scalar(0)
+        acc = ZERO
         for j in range(1, m + 2):
             for l in range(0, j):
                 sl = 1 if (l + j) % 2 == 0 else -1
@@ -609,7 +598,7 @@ def cochain_is_g_normalized(phi: Cochain) -> bool:
         for j in range(m + 1):
             for t in all_tuples(A.dim, m + 1):
                 moved = psi_star_mj(psi, j, Chain(A, m, {t: ONE}))
-                if pair(phi, moved) != phi.values.get(t, Scalar(0)):
+                if pair(phi, moved) != phi.values.get(t, ZERO):
                     return False
     return True
 
@@ -667,16 +656,6 @@ def twisted_B(action, phi: int, x: Chain) -> Chain:
     return y - twisted_T(action, phi, y)
 
 
-def twisted_ops(kind: str, action, phi: int, x: Chain) -> Chain:
-    if kind == "b":
-        return twisted_b(action, phi, x)
-    if kind == "T":
-        return twisted_T(action, phi, x)
-    if kind == "B":
-        return twisted_B(action, phi, x)
-    raise ValueError(f"unknown twisted operator {kind!r}")
-
-
 def point_action(psi: int, action, x: Chain) -> Chain:
     """Diagonal action psi_* (f^0 (x) .. (x) f^m) = f^0 o psi^{-1} (x) ..."""
     A = _point_algebra_of(x)
@@ -715,8 +694,15 @@ def chi_phi(cpa: CrossedProductAlgebra, phi: int, x: Chain) -> Chain:
     return g_normalize(chi_tilde(cpa, phi, x))
 
 
-def mu_phi(cpa: CrossedProductAlgebra, phi: int, x: Chain) -> Chain:
-    """Inverse of chi on the conjugacy block of phi (lands in G_phi-invariants)."""
+def mu_phi(cpa: CrossedProductAlgebra, phi: int, x: Chain, orbits=None) -> Chain:
+    """Inverse of chi on the conjugacy block of phi (lands in G_phi-invariants).
+
+    With `orbits`, a table mapping every point tuple to its G_phi-orbit
+    representative and 1/|orbit| (`TwistedFlavor.orbits`), only the
+    coordinates at the representatives are returned: the value at r is
+    sum_{rep(t)=r} c_t / |orbit(r)|, the averaged chain's coefficient at r,
+    because lambda(delta_t) = orbitsum(t) / |orbit(t)|.
+    """
     if x.algebra is not cpa:
         raise StructureError("mu expects a chain over the crossed product")
     G = cpa.group
@@ -736,9 +722,10 @@ def mu_phi(cpa: CrossedProductAlgebra, phi: int, x: Chain) -> Chain:
             pts.append(cpa.action.apply(pref, xj))
             pref = G.mul[pref][gj]
         moved = tuple(cpa.action.apply(kappa, p) for p in pts)
-        _add_term(acc, moved, c)
-    out = Chain(cpa.point_algebra, m, acc)
-    return lambda_phi(cpa, phi, out)
+        _add_term(acc, moved if orbits is None else orbits[moved][0], c)
+    if orbits is None:
+        return lambda_phi(cpa, phi, Chain(cpa.point_algebra, m, acc))
+    return Chain(cpa.point_algebra, m, {r: c * orbits[r][1] for r, c in acc.items()})
 
 
 # ---------------------------------------------------------------------------

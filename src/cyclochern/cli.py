@@ -74,7 +74,7 @@ def cmd_verify(args) -> int:
         triple, ctx = serde.load_triple(path)
         out = [(path, c) for c in spectral_suite(triple, ctx.get("cocycle"),
                                                  seed=args.seed)]
-        out += [(path, c) for c in index_suite(triple, q=max(1, args.q_max))]
+        out += [(path, c) for c in index_suite(triple, q=args.q_max)]
         return out
 
     def geometry_checks(path):
@@ -173,8 +173,8 @@ def cmd_index(args) -> int:
         idems = {"one": [[cpa.one()]]}
         if hasattr(cpa, "delta_u"):
             idems["delta_x0"] = [[cpa.delta_u(0, cpa.group.id)]]
+        q = args.q_max
         for name, e in idems.items():
-            q = max(1, args.q_max)
             resid, pairing_value, ind = verify_index_pairing(triple, e, q)
             runs.append({
                 "triple": path,
@@ -206,7 +206,7 @@ def cmd_pair(args) -> int:
         idems = {"one": [[cpa.one()]]}
         if hasattr(cpa, "delta_u"):
             idems["delta_x0"] = [[cpa.delta_u(0, cpa.group.id)]]
-        q = max(1, args.q_max)
+        q = args.q_max
         for name, e in idems.items():
             v1 = tau_bar_chern_pairing(triple, q, e)
             v2 = tau_bar_chern_pairing(triple, q + 1, e)
@@ -319,8 +319,10 @@ def main(argv=None) -> int:
     if args.tol <= 0:
         print("--tol must be positive", file=sys.stderr)
         return USAGE_EXIT
-    if args.q_max < 0:
-        print("--q-max must be non-negative", file=sys.stderr)
+    # The pairings need q >= 1; hp reads HP_0 already at q_max = 0.
+    q_min = 1 if args.command in ("verify", "index", "pair") else 0
+    if args.q_max < q_min:
+        print(f"--q-max must be at least {q_min}", file=sys.stderr)
         return USAGE_EXIT
     return args.fn(args)
 

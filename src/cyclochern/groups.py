@@ -188,12 +188,3 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     )
     names = tuple(f"{na},{nbm}" for na in a.names for nbm in b.names)
     return FiniteGroup(mul, names)
-
-
-def action_from_permutations(group: FiniteGroup, points, perms) -> GAction:
-    return GAction(group, tuple(points), tuple(tuple(p) for p in perms))
-
-
-def regular_action(group: FiniteGroup) -> GAction:
-    act = tuple(tuple(group.mul[g][x] for x in group.elements()) for g in group.elements())
-    return GAction(group, group.names, act)

@@ -2,9 +2,11 @@
 
 HC_n is the homology of the total complex of the first-quadrant (b, B)
 bicomplex: Tot_n = C_n + C_{n-2} + ...  with differential b + B, where B is
-dropped on the top (column-zero) summand.  (b+B)^2 = 0 holds exactly there,
-and HP_i is read off as the stabilized value of HC_{2q+i}; the stabilization
-check across q_max and q_max+1 is part of every report.
+dropped on the top (column-zero) summand: it is never computed there, so
+assembly evaluates b and B only on the columns the truncated complex keeps.
+(b+B)^2 = 0 holds exactly there, and HP_i is read off as the stabilized
+value of HC_{2q+i}; the stabilization check across q_max and q_max+1 is
+part of every report.
 
 Three flavors of the complex ship for a crossed product C(X) x| G:
 
@@ -22,6 +24,7 @@ is the Brylinski-Nistor verification.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import product
 
 from .algebra import CrossedProductAlgebra, FiniteAlgebra
@@ -34,8 +37,8 @@ from .chains import (
     twisted_B,
     twisted_b,
 )
-from .linalg import SparseRank
-from .scalars import ONE, Scalar
+from .linalg import sparse_rank
+from .scalars import ONE, Scalar, ZERO
 
 
 class SizeCapError(ValueError):
@@ -51,15 +54,23 @@ DEFAULT_DIM_CAP = 200_000       # hard cap on any enumerated chain-space dimensi
 
 
 class _Flavor:
-    """Interface: an ordered basis per degree plus the action of b and B."""
+    """Interface: an ordered basis per degree plus the action of b and B.
+
+    `b_terms` and `B_terms` return nonzero coefficients keyed by the basis
+    keys of the target degree.
+    """
 
     label = "flavor"
 
     def space(self, m: int) -> list:
         raise NotImplementedError
 
-    def d_terms(self, m: int, key) -> tuple[dict, dict]:
-        """(b-part over degree m-1 keys, B-part over degree m+1 keys)."""
+    def b_terms(self, m: int, key) -> dict:
+        """b of a degree-m basis vector (m >= 1), over degree m-1 keys."""
+        raise NotImplementedError
+
+    def B_terms(self, m: int, key) -> dict:
+        """B of a degree-m basis vector, over degree m+1 keys."""
         raise NotImplementedError
 
 
@@ -94,10 +105,11 @@ class FullFlavor(_Flavor):
             self._spaces[m] = keys
         return self._spaces[m]
 
-    def d_terms(self, m: int, key) -> tuple[dict, dict]:
-        chain = Chain(self.algebra, m, {key: ONE})
-        b_part = hochschild_b(chain).terms if m >= 1 else {}
-        return b_part, connes_B(chain).terms
+    def b_terms(self, m: int, key) -> dict:
+        return hochschild_b(Chain(self.algebra, m, {key: ONE})).terms
+
+    def B_terms(self, m: int, key) -> dict:
+        return connes_B(Chain(self.algebra, m, {key: ONE})).terms
 
 
 class TwistedFlavor(_Flavor):
@@ -105,7 +117,7 @@ class TwistedFlavor(_Flavor):
 
     Basis vectors are orbit sums of point tuples under the diagonal
     stabilizer action; coordinates of an invariant chain are read off at
-    the orbit representative.
+    the orbit representative (the least tuple of the orbit).
     """
 
     def __init__(self, cpa: CrossedProductAlgebra, phi: int,
@@ -116,11 +128,7 @@ class TwistedFlavor(_Flavor):
         self.dim_cap = dim_cap
         self.label = f"twisted[{cpa.name}]/phi{phi}"
         self._spaces: dict[int, list] = {}
-        self._orbit_rep: dict[int, dict] = {}
-
-    def _orbit_of(self, t: tuple) -> tuple:
-        act = self.cpa.action
-        return min(tuple(act.apply(psi, x) for x in t) for psi in self.stab)
+        self._orbits: dict[int, dict] = {}
 
     def space(self, m: int) -> list:
         if m < 0:
@@ -129,17 +137,29 @@ class TwistedFlavor(_Flavor):
             nx = self.cpa.n_points
             if nx ** (m + 1) > self.dim_cap * 8:
                 raise SizeCapError(f"C_{m}(C(X)) has dimension {nx ** (m + 1)}")
+            act = self.cpa.action
             reps = []
-            seen = set()
+            orbits: dict = {}
             for t in product(range(nx), repeat=m + 1):
-                if t in seen:
+                if t in orbits:
                     continue
-                act = self.cpa.action
                 orb = {tuple(act.apply(psi, x) for x in t) for psi in self.stab}
-                seen |= orb
-                reps.append(min(orb))
+                entry = (min(orb), Scalar(Fraction(1, len(orb))))
+                for u in orb:
+                    orbits[u] = entry
+                reps.append(entry[0])
             self._spaces[m] = reps
+            self._orbits[m] = orbits
         return self._spaces[m]
+
+    def orbits(self, m: int) -> dict:
+        """Degree-m orbit table: point tuple -> (orbit representative, 1/|orbit|)."""
+        self.space(m)
+        return self._orbits[m]
+
+    def _at_reps(self, m: int, chain: Chain) -> dict:
+        orbits = self.orbits(m)
+        return {t: c for t, c in chain.terms.items() if orbits[t][0] == t}
 
     def _orbit_sum_chain(self, m: int, rep: tuple) -> Chain:
         act = self.cpa.action
@@ -148,14 +168,13 @@ class TwistedFlavor(_Flavor):
             terms[tuple(act.apply(psi, x) for x in rep)] = ONE
         return Chain(self.cpa.point_algebra, m, terms)
 
-    def d_terms(self, m: int, key) -> tuple[dict, dict]:
-        chain = self._orbit_sum_chain(m, key)
-        act = self.cpa.action
-        b_part = twisted_b(act, self.phi, chain).terms if m >= 1 else {}
-        B_part = twisted_B(act, self.phi, chain).terms
-        b_keys = {t: c for t, c in b_part.items() if t == self._orbit_of(t)}
-        B_keys = {t: c for t, c in B_part.items() if t == self._orbit_of(t)}
-        return b_keys, B_keys
+    def b_terms(self, m: int, key) -> dict:
+        chain = twisted_b(self.cpa.action, self.phi, self._orbit_sum_chain(m, key))
+        return self._at_reps(m - 1, chain)
+
+    def B_terms(self, m: int, key) -> dict:
+        chain = twisted_B(self.cpa.action, self.phi, self._orbit_sum_chain(m, key))
+        return self._at_reps(m + 1, chain)
 
 
 class GNormalizedFlavor(_Flavor):
@@ -176,20 +195,18 @@ class GNormalizedFlavor(_Flavor):
     def space(self, m: int) -> list:
         return self.twisted.space(m)
 
-    def d_terms(self, m: int, key) -> tuple[dict, dict]:
-        rep_chain = chi_tilde(self.cpa, self.phi,
-                              self.twisted._orbit_sum_chain(m, key))
-        b_part = hochschild_b(rep_chain) if m >= 1 else None
-        B_part = connes_B(rep_chain)
-        orbit_of = self.twisted._orbit_of
+    def _chi(self, m: int, key) -> Chain:
+        return chi_tilde(self.cpa, self.phi, self.twisted._orbit_sum_chain(m, key))
 
-        def coords(crossed: Chain | None) -> dict:
-            if crossed is None or crossed.is_zero():
-                return {}
-            inv = mu_phi(self.cpa, self.phi, crossed)
-            return {t: c for t, c in inv.terms.items() if t == orbit_of(t)}
+    def _coords(self, m: int, crossed: Chain) -> dict:
+        """Coordinates of mu(crossed) at the degree-m orbit representatives."""
+        return mu_phi(self.cpa, self.phi, crossed, self.twisted.orbits(m)).terms
 
-        return coords(b_part), coords(B_part)
+    def b_terms(self, m: int, key) -> dict:
+        return self._coords(m - 1, hochschild_b(self._chi(m, key)))
+
+    def B_terms(self, m: int, key) -> dict:
+        return self._coords(m + 1, connes_B(self._chi(m, key)))
 
 
 # ---------------------------------------------------------------------------
@@ -226,19 +243,21 @@ def _tot_offsets(flavor: _Flavor, n: int):
 
 
 def _d_column(flavor: _Flavor, n: int, m: int, key, target_offsets) -> dict:
-    """Column of b+B applied to a degree-m basis vector inside Tot_n."""
-    b_part, B_part = flavor.d_terms(m, key)
+    """Column of b+B applied to a degree-m basis vector inside Tot_n.
+
+    b and B land in different summands of Tot_{n-1} and each returns
+    distinct nonzero terms, so every term fills its own row.
+    """
     col: dict[int, Scalar] = {}
-    if m - 1 >= 0 and m - 1 in target_offsets:
+    if m >= 1:
         base, index = target_offsets[m - 1]
-        for t, c in b_part.items():
-            col[base + index[t]] = col.get(base + index[t], Scalar(0)) + c
-    if m < n and (m + 1) in target_offsets:  # B dropped on the top summand
+        for t, c in flavor.b_terms(m, key).items():
+            col[base + index[t]] = c
+    if m < n:  # B is dropped on the top summand
         base, index = target_offsets[m + 1]
-        for t, c in B_part.items():
-            off = base + index[t]
-            col[off] = col.get(off, Scalar(0)) + c
-    return {r: v for r, v in col.items() if v}
+        for t, c in flavor.B_terms(m, key).items():
+            col[base + index[t]] = c
+    return col
 
 
 def assemble(flavor: _Flavor, parity: int, q_max: int,
@@ -275,7 +294,7 @@ def _verify_d2(flavor: _Flavor, n: int, offsets, cols):
         acc: dict[int, Scalar] = {}
         for off, v in col.items():
             for r, w in col_by_offset[off].items():
-                s = acc.get(r, Scalar(0)) + v * w
+                s = acc.get(r, ZERO) + v * w
                 if s:
                     acc[r] = s
                 else:
@@ -287,16 +306,9 @@ def _verify_d2(flavor: _Flavor, n: int, offsets, cols):
 def homology_dims(tc: TruncatedComplex) -> int:
     """dim HC at the top total degree = dim Tot_n - rank d_n - rank d_{n+1}."""
     n = tc.top_degree
-    rank_n = _rank_of(tc.d_columns[n], tc.tot_dims[n - 1])
-    rank_n1 = _rank_of(tc.d_columns[n + 1], tc.tot_dims[n])
+    rank_n = sparse_rank(tc.d_columns[n], tc.tot_dims[n - 1])
+    rank_n1 = sparse_rank(tc.d_columns[n + 1], tc.tot_dims[n])
     return tc.tot_dims[n] - rank_n - rank_n1
-
-
-def _rank_of(columns, n_rows: int) -> int:
-    eng = SparseRank(n_rows)
-    for col in columns:
-        eng.add_column(col)
-    return eng.rank
 
 
 def flavor_hp(flavor: _Flavor, parity: int, q_max: int) -> tuple[int, int, bool]:

@@ -24,16 +24,8 @@ def identity(n: int) -> Matrix:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a: Matrix, s: Scalar) -> Matrix:
-    return [[s * x for x in row] for row in a]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -64,24 +56,6 @@ def mat_conj_transpose(a: Matrix) -> Matrix:
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(not x for row in a for x in row)
-
-
-def direct_sum(a: Matrix, b: Matrix) -> Matrix:
-    na, nb = len(a), len(b)
-    ma = len(a[0]) if a else 0
-    mb = len(b[0]) if b else 0
-    out = zeros(na + nb, ma + mb)
-    for i in range(na):
-        for j in range(ma):
-            out[i][j] = a[i][j]
-    for i in range(nb):
-        for j in range(mb):
-            out[na + i][ma + j] = b[i][j]
-    return out
 
 
 def _echelon(a: Matrix, augment: Matrix | None = None):

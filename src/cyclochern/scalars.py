@@ -2,7 +2,10 @@
 
 Every algebraic identity in the workbench is checked as an exact equality,
 so the ground field is Q(i) rather than floats.  A scalar is a pair of
-`fractions.Fraction` values (real and imaginary part).
+exact rationals (real and imaginary part), each stored as an `int` when it
+is integral and as a `fractions.Fraction` otherwise; almost every scalar
+the chain operators produce is integral, and `int` arithmetic is several
+times faster than `Fraction` arithmetic.
 """
 from __future__ import annotations
 
@@ -15,14 +18,25 @@ _SCALAR_RE = re.compile(
 )
 
 
+def _exact(x) -> int | Fraction:
+    """Canonical part: `int` when integral, `Fraction` otherwise; no floats."""
+    if type(x) is int:
+        return x
+    if isinstance(x, float):
+        raise TypeError(f"Scalar parts must be exact rationals, not {x!r}")
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 class Scalar:
-    """A Gaussian rational a + b*i with exact Fraction components."""
+    """A Gaussian rational a + b*i with exact parts (`int` or `Fraction`)."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", re if isinstance(re, Fraction) else Fraction(re))
-        object.__setattr__(self, "im", im if isinstance(im, Fraction) else Fraction(im))
+        _set_re(self, _exact(re))
+        _set_im(self, _exact(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -31,16 +45,16 @@ class Scalar:
 
     def __add__(self, other):
         other = _coerce(other)
-        return Scalar(self.re + other.re, self.im + other.im)
+        return _scalar(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im)
+        return _scalar(-self.re, -self.im)
 
     def __sub__(self, other):
         other = _coerce(other)
-        return Scalar(self.re - other.re, self.im - other.im)
+        return _scalar(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         return _coerce(other) - self
@@ -48,8 +62,8 @@ class Scalar:
     def __mul__(self, other):
         other = _coerce(other)
         if not other.im and not self.im:
-            return Scalar(self.re * other.re)
-        return Scalar(
+            return _scalar(self.re * other.re, 0)
+        return _scalar(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
@@ -67,12 +81,12 @@ class Scalar:
         n = self.re * self.re + self.im * self.im
         if not n:
             raise ZeroDivisionError("inverse of zero Scalar")
-        return Scalar(self.re / n, -self.im / n)
+        return _scalar(Fraction(self.re, n), Fraction(-self.im, n))
 
     def conjugate(self) -> Scalar:
-        return Scalar(self.re, -self.im)
+        return _scalar(self.re, -self.im)
 
-    def norm_sq(self) -> Fraction:
+    def norm_sq(self) -> int | Fraction:
         return self.re * self.re + self.im * self.im
 
     # -- predicates / conversions -----------------------------------------
@@ -103,6 +117,19 @@ class Scalar:
         return format_scalar(self)
 
 
+_new = object.__new__
+_set_re = Scalar.re.__set__
+_set_im = Scalar.im.__set__
+
+
+def _scalar(re, im) -> Scalar:
+    """Scalar from `int`/`Fraction` parts, normalized; no float check."""
+    z = _new(Scalar)
+    _set_re(z, re if type(re) is int or re.denominator != 1 else re.numerator)
+    _set_im(z, im if type(im) is int or im.denominator != 1 else im.numerator)
+    return z
+
+
 ZERO = Scalar(0)
 ONE = Scalar(1)
 I = Scalar(0, 1)
@@ -117,14 +144,6 @@ def _coerce(value) -> Scalar:
     raise TypeError(f"cannot coerce {type(value)!r} to Scalar")
 
 
-def rat(p, q=1) -> Fraction:
-    return Fraction(p, q)
-
-
-def parse_fraction(text: str) -> Fraction:
-    return Fraction(text.strip())
-
-
 def parse_scalar(text: str) -> Scalar:
     """Parse "p/q", "p/q+r/s i", "-i", "3-2i" style strings."""
     m = _SCALAR_RE.match(text)
@@ -136,10 +155,6 @@ def parse_scalar(text: str) -> Scalar:
         mag = Fraction(m.group("im")) if m.group("im") is not None else Fraction(1)
         im_part = mag if m.group("sign") == "+" else -mag
     return Scalar(re_part, im_part)
-
-
-def format_fraction(x: Fraction) -> str:
-    return str(x)
 
 
 def format_scalar(z: Scalar) -> str:

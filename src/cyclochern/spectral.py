@@ -62,7 +62,7 @@ class GradedSpace:
 
 
 def supertrace(space: GradedSpace, m: Matrix) -> Scalar:
-    acc = Scalar(0)
+    acc = ZERO
     for i in range(space.dim_plus):
         acc = acc + m[i][i]
     for i in range(space.dim_plus, space.dim):
@@ -305,7 +305,7 @@ def tau_bar_pair_chain(t: TwistedTriple, q: int, chain: Chain) -> Scalar:
     w = [mat_mul(dinv, dbl.twisted_commutator(dbl.algebra.basis_element(i)))
          for i in range(t.algebra.dim)]
     c_q = tau_coefficient(q)
-    acc = Scalar(0)
+    acc = ZERO
     cache: dict[tuple, Matrix] = {}
 
     def prod(idx: tuple) -> Matrix:
@@ -354,7 +354,7 @@ def algebra_inverse(t: TwistedTriple, k: AlgebraElement) -> AlgebraElement:
     one = A.one()
     out: dict = {}
     for i in range(d):
-        acc = Scalar(0)
+        acc = ZERO
         for j, c in one.coeffs.items():
             if minv[i][j]:
                 acc = acc + minv[i][j] * c
@@ -387,7 +387,7 @@ def conjugated_cochain(phi: Cochain, k: AlgebraElement, k_inv: AlgebraElement) -
     conj = [(k * A.basis_element(i) * k_inv).coeffs for i in range(A.dim)]
     out: dict = {}
     for tup in all_tuples(A.dim, phi.degree + 1):
-        acc = Scalar(0)
+        acc = ZERO
         stack = [(0, (), ONE)]
         while stack:
             depth, partial, coeff = stack.pop()

@@ -110,3 +110,20 @@ def test_hp_negative_q_max_is_usage(capsys):
 
 def test_index_negative_q_max_is_usage(capsys):
     assert run(["index", "--triple", f"{TRIP}/asym.json", "--q-max", "-3"]) == 2
+
+
+def test_hp_q_max_zero_is_valid(capsys):
+    assert run(["hp", "--scenario", f"{SCEN}/z2trivial.json", "--q-max", "0"]) == 0
+
+
+def test_index_q_max_zero_is_usage(capsys):
+    assert run(["index", "--triple", f"{TRIP}/asym.json", "--q-max", "0"]) == 2
+
+
+def test_pair_q_max_zero_is_usage(capsys):
+    assert run(["pair", "--triple", f"{TRIP}/asym.json", "--q-max", "0"]) == 2
+
+
+def test_verify_q_max_zero_is_usage(capsys):
+    assert run(["verify", "--suite", "spectral", "--triple", f"{TRIP}/micro.json",
+                "--q-max", "0"]) == 2

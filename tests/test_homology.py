@@ -1,6 +1,17 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclochern.algebra import MatrixAlgebra
+from cyclochern.chains import (
+    Chain,
+    chi_tilde,
+    connes_B,
+    hochschild_b,
+    mu_phi,
+    twisted_B,
+    twisted_b,
+)
 from cyclochern.homology import (
     FullFlavor,
     GNormalizedFlavor,
@@ -14,6 +25,7 @@ from cyclochern.homology import (
     hp_report,
     verify_pi_star,
 )
+from cyclochern.scalars import ONE, Scalar
 from cyclochern.suite import (
     s3_scenario,
     trivial_point_scenario,
@@ -111,3 +123,87 @@ def test_size_cap_error_names_dimension():
 def test_full_route_cap():
     assert full_route_allowed(z2_swap_scenario())
     assert not full_route_allowed(s3_scenario())
+
+
+@pytest.fixture(scope="module")
+def small_scenarios():
+    return [z2_swap_scenario(), z3_rotation_scenario()]
+
+
+def _orbit_rep(cpa, phi, t):
+    return min(tuple(cpa.action.apply(psi, x) for x in t)
+               for psi in cpa.conjugacy.stabilizer[phi])
+
+
+def _at_reps(cpa, phi, terms):
+    return {t: c for t, c in terms.items() if t == _orbit_rep(cpa, phi, t)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mu_on_orbit_table_is_averaged_chain_at_reps(small_scenarios, data):
+    cpa = data.draw(st.sampled_from(small_scenarios))
+    c = data.draw(st.integers(0, len(cpa.conjugacy.classes) - 1))
+    phi = cpa.conjugacy.classes[c][0]
+    m = data.draw(st.integers(0, 2 if cpa.dim <= 4 else 1))
+    block = FullFlavor(cpa, block=c).space(m)
+    parts = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    terms = data.draw(st.dictionaries(st.sampled_from(block),
+                                      st.builds(Scalar, parts, parts), max_size=6))
+    x = Chain(cpa, m, terms)
+    restricted = mu_phi(cpa, phi, x, TwistedFlavor(cpa, phi).orbits(m))
+    assert restricted.terms == _at_reps(cpa, phi, mu_phi(cpa, phi, x).terms)
+
+
+def _oracle_terms(cpa, kind, phi, m, key):
+    """(b, B) of a basis vector by the full operators, read off at the
+    representatives found by the minimum over the stabilizer."""
+    if kind == "full":
+        chain = Chain(cpa, m, {key: ONE})
+        return (hochschild_b(chain).terms if m >= 1 else {}), connes_B(chain).terms
+    orbit_sum = Chain(cpa.point_algebra, m,
+                      {tuple(cpa.action.apply(psi, x) for x in key): ONE
+                       for psi in cpa.conjugacy.stabilizer[phi]})
+    if kind == "twisted":
+        b = twisted_b(cpa.action, phi, orbit_sum).terms if m >= 1 else {}
+        return _at_reps(cpa, phi, b), _at_reps(cpa, phi, twisted_B(cpa.action, phi, orbit_sum).terms)
+    crossed = chi_tilde(cpa, phi, orbit_sum)
+    b = mu_phi(cpa, phi, hochschild_b(crossed)).terms if m >= 1 else {}
+    return _at_reps(cpa, phi, b), _at_reps(cpa, phi, mu_phi(cpa, phi, connes_B(crossed)).terms)
+
+
+def _oracle_columns(flavor, cpa, kind, phi, level):
+    """Columns of b+B on Tot_level, with B dropped on the top summand."""
+    target, total = {}, 0
+    for m in range(level - 1, -1, -2):
+        target[m] = (total, {k: i for i, k in enumerate(flavor.space(m))})
+        total += len(flavor.space(m))
+    cols = []
+    for m in range(level, -1, -2):
+        for key in flavor.space(m):
+            b, B = _oracle_terms(cpa, kind, phi, m, key)
+            col = {}
+            for deg, part in ((m - 1, b), (m + 1, B if m < level else {})):
+                for t, c in part.items():
+                    base, index = target[deg]
+                    col[base + index[t]] = col.get(base + index[t], Scalar(0)) + c
+            cols.append({r: v for r, v in col.items() if v})
+    return cols
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_assembled_columns_match_full_operator_oracle(small_scenarios, data):
+    cpa = data.draw(st.sampled_from(small_scenarios))
+    c = data.draw(st.integers(0, len(cpa.conjugacy.classes) - 1))
+    phi = cpa.conjugacy.classes[c][0]
+    kinds = ["twisted", "g-normalized"] + (["full"] if full_route_allowed(cpa) else [])
+    kind = data.draw(st.sampled_from(kinds))
+    parity, q = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 1))
+    flavor = {"full": lambda: FullFlavor(cpa, block=c),
+              "twisted": lambda: TwistedFlavor(cpa, phi),
+              "g-normalized": lambda: GNormalizedFlavor(cpa, phi)}[kind]()
+    tc = assemble(flavor, parity, q)
+    n = 2 * q + parity
+    for level in (n, n + 1):
+        assert tc.d_columns[level] == _oracle_columns(flavor, cpa, kind, phi, level)
