@@ -917,9 +917,11 @@ def conformal_invariant_pairing(scn: GeometryScenario, omega: DifferentialForm,
     eta_omega by antisymmetrizing function monomials and pair it with the
     index cocycle.
 
-    The cycle carries the explicit m! from eta_omega and the 1/m! from the
-    chain-to-form normalization; they must cancel against the cocycle's
-    1/(2q)! prefactor, which the cross-route test verifies.
+    Normalization: eta_omega is the sum over the monomials f0 df1 ^ ... ^ dfm
+    of omega of sum_perm sign(perm) f0 (x) f_perm(1) (x) ... (x) f_perm(m),
+    with coefficient 1.  Each of its m! = (2q)! terms pairs to the cocycle's
+    1/(2q)! times the direct integrand, so the sum is the direct route's
+    value; the cross-route test checks this.
     """
     if check:
         check_closed(omega, scn)
@@ -931,7 +933,6 @@ def conformal_invariant_pairing(scn: GeometryScenario, omega: DifferentialForm,
         part = omega.component(degree)
         m = degree
         q = m // 2
-        eta_const = Fraction(factorial(m)) * Fraction(1, factorial(m))
         for f0, fs in form_monomials(part):
             f0_form = DifferentialForm.function(f0)
             for perm in permutations(range(m)):
@@ -939,7 +940,7 @@ def conformal_invariant_pairing(scn: GeometryScenario, omega: DifferentialForm,
                 argsfs = [DifferentialForm.function(fs[p]) for p in perm]
                 args = [(f0_form, ident)] + [(g, ident) for g in argsfs]
                 val = cm_cocycle_eval(scn, q, args, quad_n)
-                total += float(eta_const) * sign * val
+                total += sign * val
     return total
 
 

@@ -16,6 +16,7 @@ from .algebra import (
     sigma_from_cocycle,
     identity_automorphism,
     AlgebraAutomorphism,
+    ValidationError,
 )
 from .chains import Chain
 from .geometry import GeometryScenario, parse_form, AXIS_NAMES
@@ -137,8 +138,15 @@ def triple_from_dict(data, path="<triple>") -> tuple[TwistedTriple, dict]:
         dim_minus = data["dim_minus"]
         rep = [_parse_matrix(m) for m in data["rep"]]
         D = _parse_matrix(data["D"])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(path, f"bad triple: {exc}") from None
+    if not all(type(d) is int and d >= 0 for d in (dim_plus, dim_minus)):
+        raise ParseError(path, "bad triple: dim_plus and dim_minus must be "
+                               "non-negative integers")
+    n = dim_plus + dim_minus
+    for name, m in [("D", D)] + [(f"rep[{i}]", r) for i, r in enumerate(rep)]:
+        if len(m) != n or any(len(row) != n for row in m):
+            raise ParseError(path, f"bad triple: {name} must be {n} x {n}")
     sigma_spec = data.get("sigma")
     if sigma_spec is None:
         sigma = identity_automorphism(cpa)
@@ -150,8 +158,11 @@ def triple_from_dict(data, path="<triple>") -> tuple[TwistedTriple, dict]:
         images = [{int(k): parse_scalar(v) for k, v in img.items()}
                   for img in sigma_spec]
         sigma = AlgebraAutomorphism(cpa, [AlgebraElement(cpa, im) for im in images])
-    triple = TwistedTriple(cpa, GradedSpace(dim_plus, dim_minus), rep, D, sigma,
-                           label=data.get("label", ""))
+    try:
+        triple = TwistedTriple(cpa, GradedSpace(dim_plus, dim_minus), rep, D, sigma,
+                               label=data.get("label", ""))
+    except ValidationError as exc:
+        raise ParseError(path, f"bad triple: {exc}") from None
     return triple, {"cpa": cpa, "cocycle": cocycle, "data": data}
 
 

@@ -95,6 +95,7 @@ class TwistedTriple:
         self.sigma = sigma if sigma is not None else identity_automorphism(algebra)
         self.label = label
         self._d_inv: Matrix | None = None
+        self._double_w: tuple[GradedSpace, list[Matrix]] | None = None
         if validate:
             self.validate()
 
@@ -203,27 +204,57 @@ def transgression_coefficient(q: int) -> Scalar:
     return Scalar(lam if q % 2 else -lam)
 
 
+def _str_of_product(gamma: list[int], p: Matrix, f: Matrix) -> Scalar:
+    """Str(p f) = sum_{r,s} gamma_r p[r][s] f[s][r] without forming p f (n^2 work)."""
+    acc = ZERO
+    for r, sign in enumerate(gamma):
+        row = ZERO
+        for x, frow in zip(p[r], f):
+            if x:
+                y = frow[r]
+                if y:
+                    row = row + x * y
+        if row:
+            acc = acc + row if sign > 0 else acc - row
+    return acc
+
+
+def _gamma(space: GradedSpace) -> list[int]:
+    return [space.sign(i) for i in range(space.dim)]
+
+
 def _dense_str_cochain(algebra: FiniteAlgebra, space: GradedSpace, heads, factors,
                        degree: int, scale: Scalar) -> Cochain:
     """Cochain t -> scale * Str(heads[t0] factors[t1] ... factors[t_m]).
 
-    Depth-first over tuples reusing prefix products, so the cost is one
-    matrix product per enumerated tuple.
+    Depth-first over tuples reusing prefix products P = heads[t0] ...
+    factors[t_{m-1}]; the last factor is contracted into the supertrace,
+    Str(P F) = sum_{r,s} gamma_r P[r][s] F[s][r], instead of multiplied in.
+    With d = dim A and n = dim H that is d + ... + d^m matrix products
+    (n^3 each) and d^{m+1} contractions (n^2 each).  Degree 0 takes
+    Str(heads[t0]) directly.
     """
     d = algebra.dim
+    gamma = _gamma(space)
     values: dict = {}
 
     def rec(depth: int, prefix: Matrix, idxs: tuple):
-        if depth == degree + 1:
-            v = scale * supertrace(space, prefix)
-            if v:
-                values[idxs] = v
+        if depth == degree:
+            for i in range(d):
+                v = scale * _str_of_product(gamma, prefix, factors[i])
+                if v:
+                    values[idxs + (i,)] = v
             return
         for i in range(d):
             rec(depth + 1, mat_mul(prefix, factors[i]), idxs + (i,))
 
     for i in range(d):
-        rec(1, heads[i], (i,))
+        if degree == 0:
+            v = scale * supertrace(space, heads[i])
+            if v:
+                values[(i,)] = v
+        else:
+            rec(1, heads[i], (i,))
     return Cochain(algebra, degree, values)
 
 
@@ -285,25 +316,31 @@ def invertible_double(t: TwistedTriple) -> TwistedTriple:
                          label=f"double({t.label})" if t.label else "double")
 
 
+def _double_omega(t: TwistedTriple) -> tuple[GradedSpace, list[Matrix]]:
+    """(graded space of the double, W~_i = D~^{-1}[D~, b_i]_sigma~ per basis vector of A).
+
+    Built, with its double validated, once per triple and cached on it.
+    """
+    if t._double_w is None:
+        dbl = invertible_double(t)
+        dinv = dbl.d_inverse()
+        w = [mat_mul(dinv, dbl.twisted_commutator(dbl.algebra.basis_element(i)))
+             for i in range(t.algebra.dim)]
+        t._double_w = (dbl.space, w)
+    return t._double_w
+
+
 def tau_bar(t: TwistedTriple, q: int) -> Cochain:
     """Restriction to A of tau_2q of the invertible double (a cochain on A)."""
-    dbl = invertible_double(t)
-    dinv = dbl.d_inverse()
-    w = []
-    for i in range(t.algebra.dim):
-        a = dbl.algebra.basis_element(i)
-        w.append(mat_mul(dinv, dbl.twisted_commutator(a)))
-    return _dense_str_cochain(t.algebra, dbl.space, w, w, 2 * q, tau_coefficient(q))
+    space, w = _double_omega(t)
+    return _dense_str_cochain(t.algebra, space, w, w, 2 * q, tau_coefficient(q))
 
 
 def tau_bar_pair_chain(t: TwistedTriple, q: int, chain: Chain) -> Scalar:
     """<tau_bar_2q, chain> evaluated lazily on the chain support."""
     if chain.degree != 2 * q:
         raise ValueError("chain degree must be 2q")
-    dbl = invertible_double(t)
-    dinv = dbl.d_inverse()
-    w = [mat_mul(dinv, dbl.twisted_commutator(dbl.algebra.basis_element(i)))
-         for i in range(t.algebra.dim)]
+    space, w = _double_omega(t)
     c_q = tau_coefficient(q)
     acc = ZERO
     cache: dict[tuple, Matrix] = {}
@@ -319,19 +356,44 @@ def tau_bar_pair_chain(t: TwistedTriple, q: int, chain: Chain) -> Scalar:
         return m
 
     for tup, c in chain.terms.items():
-        acc = acc + c * (c_q * supertrace(dbl.space, prod(tup)))
+        acc = acc + c * (c_q * supertrace(space, prod(tup)))
     return acc
 
 
 def tau_bar_chern_pairing(t: TwistedTriple, q: int, e) -> Scalar:
-    """<tau_bar_2q, Ch(e)> via the cyclic-cocycle shortcut formula."""
-    from .chains import trace_powers_chain
+    """<tau_bar_2q, Ch(e)> for an N x N matrix e over A, by multilinearity.
 
+    The cyclic-cocycle shortcut pairs with tr[e^{(x)(2q+1)}] =
+    sum e_{i0 i1} (x) e_{i1 i2} (x) ... (x) e_{i2q i0}, and tau_bar_2q =
+    c_q Str(W~(a^0) ... W~(a^2q)) is multilinear, so
+
+        <tau_bar_2q, Ch(e)> = (-1)^q (2q)!/q! c_q Str(WW(e)^{2q+1}),
+
+    where WW(e) is the block matrix with blocks W~(e_ab) = sum_i (e_ab)_i W~_i
+    (size N dim H~) and Str sums the supertraces of its diagonal blocks.  That
+    is 2q - 1 matrix products and one contraction, against one product per
+    tuple of the expanded chain, (terms of e)^{2q+1} of them.
+    `tau_bar_pair_chain` of `chains.trace_powers_chain` is the oracle.
+    """
+    space, w = _double_omega(t)
+    n, N = space.dim, len(e)
+    big = zeros(N * n, N * n)
+    for a in range(N):
+        for b in range(N):
+            for i, c in e[a][b].coeffs.items():
+                for r, wrow in enumerate(w[i]):
+                    row = big[a * n + r]
+                    for s, x in enumerate(wrow):
+                        if x:
+                            row[b * n + s] = row[b * n + s] + c * x
+    power = big if q else identity(N * n)
+    for _ in range(2 * q - 1):
+        power = mat_mul(power, big)
+    value = _str_of_product(_gamma(space) * N, power, big)
     coeff = Fraction(factorial(2 * q), factorial(q))
     if q % 2:
         coeff = -coeff
-    chain = trace_powers_chain(t.algebra, e, 2 * q)
-    return Scalar(coeff) * tau_bar_pair_chain(t, q, chain)
+    return Scalar(coeff) * (tau_coefficient(q) * value)
 
 
 # ---------------------------------------------------------------------------

@@ -377,6 +377,9 @@ def spectral_suite(triple: TwistedTriple, cocycle=None, q_range=(0, 1, 2, 3),
     checks.append(Check(f"T tau_2q = tau_2q for q in {qs}", cyclic_ok))
     checks.append(Check("tau normalized (vanishes on unit slots)", normalized_ok))
 
+    def tau_of(q):
+        return taus[q] if q in taus else triple.tau(q)
+
     trans_ok = True
     for q in (0, 1):
         if q + 1 not in taus:
@@ -424,7 +427,7 @@ def spectral_suite(triple: TwistedTriple, cocycle=None, q_range=(0, 1, 2, 3),
         deformed, k, k_inv = conformal_deform(triple, k_root)
         transport_ok = True
         for q in (0, 1):
-            transport_ok &= deformed.tau(q) == conjugated_cochain(triple.tau(q), k, k_inv)
+            transport_ok &= deformed.tau(q) == conjugated_cochain(tau_of(q), k, k_inv)
         checks.append(Check("conformal transport tau^{kDk} = tau^D(k . k^{-1})",
                             transport_ok))
         sig_ok = True
@@ -449,7 +452,7 @@ def spectral_suite(triple: TwistedTriple, cocycle=None, q_range=(0, 1, 2, 3),
             if not any(U[i][j] for j in range(n)):
                 U[i][i] = ONE
         conj = unitary_conjugate(triple, U)
-        uni_ok = all(conj.tau(q) == triple.tau(q) for q in (0, 1))
+        uni_ok = all(conj.tau(q) == tau_of(q) for q in (0, 1))
         comp = unitary_conjugate(unitary_conjugate(triple, U), U)
         comp2 = unitary_conjugate(triple, mat_mul(U, U))
         uni_ok &= comp.tau(1) == comp2.tau(1)

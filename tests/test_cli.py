@@ -127,3 +127,39 @@ def test_pair_q_max_zero_is_usage(capsys):
 def test_verify_q_max_zero_is_usage(capsys):
     assert run(["verify", "--suite", "spectral", "--triple", f"{TRIP}/micro.json",
                 "--q-max", "0"]) == 2
+
+
+def _malformed_triple(tmp_path, edit):
+    data = json.loads(Path(f"{TRIP}/asym.json").read_text())
+    edit(data)
+    path = tmp_path / "bad_triple.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _drop_d_row(data):
+    data["D"].pop()
+
+
+def _drop_d_column(data):
+    data["D"] = [row[:-1] for row in data["D"]]
+
+
+def _truncate_rep(data):
+    data["rep"][1].pop()
+
+
+def test_index_malformed_triple_is_usage(tmp_path, capsys):
+    assert run(["index", "--triple", _malformed_triple(tmp_path, _drop_d_row)]) == 2
+    assert "D must be 6 x 6" in capsys.readouterr().err
+
+
+def test_pair_malformed_triple_is_usage(tmp_path, capsys):
+    assert run(["pair", "--triple", _malformed_triple(tmp_path, _drop_d_column)]) == 2
+    assert "D must be 6 x 6" in capsys.readouterr().err
+
+
+def test_verify_spectral_malformed_triple_is_usage(tmp_path, capsys):
+    assert run(["verify", "--suite", "spectral",
+                "--triple", _malformed_triple(tmp_path, _truncate_rep)]) == 2
+    assert "rep[1] must be 6 x 6" in capsys.readouterr().err

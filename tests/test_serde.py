@@ -5,7 +5,7 @@ import pytest
 
 from cyclochern import serde
 from cyclochern.chains import random_sparse_chain
-from cyclochern.suite import micro_triple, swap_cocycle, z2_swap_scenario
+from cyclochern.suite import asym_triple, micro_triple, swap_cocycle, z2_swap_scenario
 
 REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "data"
@@ -71,3 +71,17 @@ def test_shipped_data_files_load():
 def test_float_formatting():
     assert serde.fmt_float(3.14159265358979) == "3.14159265359"
     assert serde.fmt_complex(1 + 2j) == {"re": "1", "im": "2"}
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.update(dim_plus="3"), "non-negative integers"),
+    (lambda d: d.update(D=5), "bad triple"),
+    (lambda d: d["rep"].pop(), "one representation matrix per basis vector"),
+    (lambda d: d["D"][0].__setitem__(3, "5"), "D must be self-adjoint"),
+])
+def test_malformed_triple_raises_parse_error(edit, message):
+    data = serde.triple_to_dict(asym_triple())
+    edit(data)
+    with pytest.raises(serde.ParseError) as err:
+        serde.triple_from_dict(data, "t.json")
+    assert message in str(err.value)

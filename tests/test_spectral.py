@@ -1,11 +1,22 @@
 import random
 from fractions import Fraction
+from itertools import product
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclochern.algebra import ValidationError
-from cyclochern.chains import chern_pairing, cochain_is_normalized, co_b, co_T, connes_B
-from cyclochern.linalg import mat, mat_mul
+from cyclochern.chains import (
+    chern_pairing,
+    cochain_is_normalized,
+    co_b,
+    co_T,
+    connes_B,
+    trace_powers_chain,
+)
+from cyclochern.linalg import mat, mat_inverse, mat_mul
 from cyclochern.scalars import Scalar
 from cyclochern.spectral import (
     GradedSpace,
@@ -18,6 +29,7 @@ from cyclochern.spectral import (
     invertible_double,
     tau_bar,
     tau_bar_chern_pairing,
+    tau_bar_pair_chain,
     tau_coefficient,
     transgression_coefficient,
     unitary_conjugate,
@@ -34,6 +46,11 @@ def micro():
 @pytest.fixture(scope="module")
 def asym():
     return asym_triple()
+
+
+@pytest.fixture(scope="module")
+def deformed(micro):
+    return conformal_deform(micro, micro.algebra.function_element([2, 3]))[0]
 
 
 def test_coefficients_literal():
@@ -206,3 +223,55 @@ def test_ribbon_scenarios_integer_index(micro, asym):
                  (asym, [[asym.algebra.delta_u(0, 0)]]),
                  (micro, [[micro.algebra.one()]])):
         assert index(t, e).is_integer()
+
+
+def _gaussian_element(algebra, data):
+    """An element with at most two basis terms and small Gaussian-integer coefficients."""
+    coeff = st.builds(Scalar, st.integers(-2, 2), st.integers(-1, 1))
+    terms = data.draw(st.dictionaries(st.integers(0, algebra.dim - 1), coeff, max_size=2))
+    return algebra.element({i: c for i, c in terms.items() if c})
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_chern_pairing_multilinear_matches_tuple_route(micro, asym, deformed, data):
+    """Str of the block matrix power equals the pairing of tau_bar with the
+    expanded chain tr[e^{(x)(2q+1)}], for any N x N matrix e over A."""
+    t = data.draw(st.sampled_from([micro, asym, deformed]))
+    n = data.draw(st.integers(1, 2))
+    q = data.draw(st.integers(0, 2))
+    e = [[_gaussian_element(t.algebra, data) for _ in range(n)] for _ in range(n)]
+    coeff = Scalar(Fraction((-1) ** q * factorial(2 * q), factorial(q)))
+    chain = trace_powers_chain(t.algebra, e, 2 * q)
+    assert tau_bar_chern_pairing(t, q, e) == coeff * tau_bar_pair_chain(t, q, chain)
+
+
+def _str_table(signs, w, q):
+    """{tuple: c_q Str(W_t0 ... W_tm)} over all tuples of length 2q+1, nonzero only."""
+    prods = {(i,): m for i, m in enumerate(w)}
+    for length in range(2, 2 * q + 2):
+        for tup in product(range(len(w)), repeat=length):
+            prods[tup] = mat_mul(prods[tup[:-1]], w[tup[-1]])
+    out = {}
+    for tup in product(range(len(w)), repeat=2 * q + 1):
+        p = prods[tup]
+        v = tau_coefficient(q) * sum((g * p[r][r] for r, g in enumerate(signs)),
+                                     start=Scalar(0))
+        if v:
+            out[tup] = v
+    return out
+
+
+def test_tau_and_tau_bar_match_plain_products(micro, asym, deformed):
+    """Every value of tau(q) and tau_bar(t, q), q <= 2, equals c_q Str(W_t0 ... W_tm)
+    with W_i = D^{-1}[D, b_i]_sigma formed and multiplied by mat_mul alone; the
+    double's W_i run over the basis of A only."""
+    for t in (micro, asym, deformed):
+        for tri in (t, invertible_double(t)):
+            dinv = mat_inverse(tri.D)
+            w = [mat_mul(dinv, tri.twisted_commutator(tri.algebra.basis_element(i)))
+                 for i in range(t.algebra.dim)]
+            signs = [tri.space.sign(i) for i in range(tri.space.dim)]
+            for q in (0, 1, 2):
+                got = t.tau(q) if tri is t else tau_bar(t, q)
+                assert got.values == _str_table(signs, w, q)
